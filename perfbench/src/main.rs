@@ -9,9 +9,11 @@
 //! metrics, `--trace 1` the per-layer metrics of a separate traced run
 //! and writes its spans under `perfbench/out/`. The last line of
 //! standard output is one JSON object; the exit code is non-zero when
-//! any simulated output fails its check. See `perfbench/README.md`.
+//! any simulated output fails its check. End-to-end times are corrected
+//! for the host's speed (`speed.rs`). See `perfbench/README.md`.
 
 mod layers;
+mod speed;
 mod trace;
 mod work;
 
@@ -20,6 +22,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use nisim_engine::Json;
+use speed::{HostSpeed, NOMINAL_S};
 use trace::{Span, Tracer};
 use work::{Em3dShape, Grid, Ladder, Pass, EVENT_BUDGET, SLICE_EVENTS};
 
@@ -261,8 +264,16 @@ fn untraced(w: &Workload, seed: u64, seconds: f64) -> Run {
     let rss = peak_rss_mb();
     let mut run = Run::new(&warm);
     print_counts(&warm);
-    let mut setups: Vec<f64> = match w {
-        Workload::Grid(g) => (0..GRID_SETUP_REPS).map(|_| g.setup()).collect(),
+    // Every time below is corrected for host speed by the kernel readings
+    // taken around it (see speed.rs); the raw medians are printed too.
+    let mut speed = HostSpeed::start();
+    let mut setups: Vec<(f64, f64)> = match w {
+        Workload::Grid(g) => (0..GRID_SETUP_REPS)
+            .map(|_| {
+                let s = g.setup();
+                (s, speed.factor())
+            })
+            .collect(),
         _ => Vec::new(),
     };
     let mut passes = Vec::new();
@@ -270,25 +281,40 @@ fn untraced(w: &Workload, seed: u64, seconds: f64) -> Run {
     while passes.len() < MIN_PASSES || t0.elapsed().as_secs_f64() < seconds {
         let p = w.pass(seed, Kind::Timed, &mut Tracer::off());
         run.absorb(&warm, &p);
-        passes.push(p);
+        passes.push((p, speed.factor()));
     }
     if !matches!(w, Workload::Grid(_)) {
-        setups = passes.iter().map(|p| p.setup).collect();
+        setups = passes.iter().map(|(p, k)| (p.setup, *k)).collect();
     }
     let c = &warm.counts;
-    let per = |f: &dyn Fn(&Pass) -> f64| passes.iter().map(f).collect::<Vec<_>>();
-    run.put_median("wall_s", per(&|p| p.wall));
+    let walls: Vec<f64> = passes.iter().map(|(p, k)| p.wall * k).collect();
+    let per = |f: &dyn Fn(f64) -> f64| walls.iter().map(|&wall| f(wall)).collect();
+    run.put_median("wall_s", per(&|wall| wall));
     run.put_median(
         "host_ns_per_msg",
-        per(&|p| p.wall * 1e9 / c.messages as f64),
+        per(&|wall| wall * 1e9 / c.messages as f64),
     );
     run.put_median(
         "sim_us_per_host_ms",
-        per(&|p| c.sim_ns as f64 / 1e3 / (p.wall * 1e3)),
+        per(&|wall| c.sim_ns as f64 / 1e3 / (wall * 1e3)),
     );
-    run.put_median("setup_s", setups);
+    run.put_median("setup_s", setups.iter().map(|(s, k)| s * k).collect());
     run.put("peak_rss_mb", rss);
     run.put("ok_frac", 1.0 - run.failed as f64 / run.attempted as f64);
+
+    let mut raw_walls: Vec<f64> = passes.iter().map(|(p, _)| p.wall).collect();
+    let mut raw_setups: Vec<f64> = setups.iter().map(|(s, _)| *s).collect();
+    println!(
+        "uncorrected medians: wall_s {:.6} setup_s {:.6}",
+        median(&mut raw_walls),
+        median(&mut raw_setups)
+    );
+    let (q1, q3) = quartiles(&mut speed.readings);
+    println!(
+        "host-speed kernel: median {:.6} s q1 {q1:.6} q3 {q3:.6} n {} (nominal {NOMINAL_S} s)",
+        median(&mut speed.readings),
+        speed.readings.len()
+    );
     run
 }
 
