@@ -45,10 +45,10 @@ fn write_records(path: &str, section: &str, records: &[RunRecord]) -> Result<(),
     std::fs::write(path, doc.to_pretty()).map_err(|e| err(format!("writing {path:?}: {e}")))
 }
 
-/// Usage text shown on parse errors.
+/// Usage text shown on parse errors and by `list`/`help`.
 pub const USAGE: &str = "\
 usage:
-  nisim list
+  nisim list | help | --help | -h
   nisim rtt   --ni <ni> [--payload <bytes>] [--buffers <n|inf>]
   nisim bw    --ni <ni> [--payload <bytes>] [--buffers <n|inf>]
   nisim run   --app <app> --ni <ni> [--buffers <n|inf>] [--nodes <n>]
@@ -457,7 +457,7 @@ pub fn main_with_args(args: &[String]) -> Result<String, CliError> {
     };
     let flags = parse_flags(rest)?;
     match cmd.as_str() {
-        "list" => Ok(format!("{USAGE}\n")),
+        "list" | "help" | "--help" | "-h" => Ok(format!("{USAGE}\n")),
         "rtt" => {
             let ni = parse_ni(required(&flags, "ni")?)?;
             let payload = payload_from(&flags)?;

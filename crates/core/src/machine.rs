@@ -696,6 +696,23 @@ impl Machine {
         let now = ctx.now;
         {
             let node = &mut *ctx.node;
+            // A live run is the busy continuation (at `busy_until`), the
+            // one wake `try_wake` scheduled (no earlier than the ledger
+            // stamp) or an idle processor's due timer. Anything else is a
+            // timed wait's wake-up that an arrival beat: skip it.
+            let timer_due = node.proc.timer == Some(now);
+            if timer_due {
+                node.proc.timer = None;
+            }
+            let woken = node.proc.wake_pending && node.ledger.stamp() <= now;
+            let live = match node.proc.phase {
+                ProcPhase::Busy => node.proc.busy_until <= now,
+                ProcPhase::Idle => timer_due || woken,
+                ProcPhase::BlockedSend => woken,
+            };
+            if !live {
+                return;
+            }
             node.proc.wake_pending = false;
             // Charge the waiting gap since the last stamp, if any.
             let cat = match node.proc.phase {
@@ -751,6 +768,15 @@ impl Machine {
             Action::Send(spec) => Machine::start_send(ctx, spec),
             Action::Wait => {
                 ctx.node.proc.phase = ProcPhase::Idle;
+            }
+            Action::WaitUntil(at) => {
+                let at = at.max(now);
+                let proc = &mut ctx.node.proc;
+                proc.phase = ProcPhase::Idle;
+                if proc.timer != Some(at) {
+                    proc.timer = Some(at);
+                    ctx.sched(at, MachineEvent::ProcRun { node: ctx.nid });
+                }
             }
             Action::Done => {
                 let node = &mut *ctx.node;
@@ -2140,6 +2166,89 @@ pub(crate) mod tests {
         assert!(r.events > r.fragments_sent, "{} events", r.events);
         let again = run_kind(NiKind::Cm5, BufferCount::Finite(8), 4, 64);
         assert_eq!(r.events, again.events);
+    }
+
+    /// Node 0 sends node 1 one message at time zero. Node 1 sleeps until
+    /// 1 ms with a timed wait, runs a `handler_ns` handler for the
+    /// message, and logs the instants its program is asked to act.
+    fn timed_wait_run(handler_ns: u64) -> (MachineReport, Vec<Time>) {
+        use std::sync::{Arc, Mutex};
+        struct Sleeper {
+            sender: bool,
+            handler: Dur,
+            asks: Arc<Mutex<Vec<Time>>>,
+            done: bool,
+        }
+        impl Process for Sleeper {
+            fn next_action(&mut self, now: Time) -> Action {
+                let wake = Time::from_ns(1_000_000);
+                if self.sender {
+                    let first = !self.done;
+                    self.done = true;
+                    return if first {
+                        Action::Send(SendSpec::new(NodeId(1), 8, 0))
+                    } else {
+                        Action::Done
+                    };
+                }
+                self.asks.lock().unwrap().push(now);
+                if now < wake && !self.done {
+                    return Action::WaitUntil(wake);
+                }
+                self.done = true;
+                Action::Done
+            }
+            fn on_message(&mut self, _m: &AppMessage, _now: Time) -> HandlerSpec {
+                HandlerSpec::compute(self.handler)
+            }
+            fn is_done(&self) -> bool {
+                self.done
+            }
+        }
+        let asks = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&asks);
+        let cfg = MachineConfig::with_ni(NiKind::Cni32Qm).nodes(2);
+        let r = Machine::run(cfg, move |id| {
+            Box::new(Sleeper {
+                sender: id.0 == 0,
+                handler: Dur::ns(handler_ns),
+                asks: Arc::clone(&log),
+                done: false,
+            })
+        });
+        let asks = asks.lock().unwrap().clone();
+        (r, asks)
+    }
+
+    #[test]
+    fn arrival_beating_a_timed_wait_is_drained_then_sleep_resumes() {
+        let (r, asks) = timed_wait_run(0);
+        assert_eq!(r.status, SimStatus::Drained);
+        assert!(r.all_quiescent);
+        // Asked at zero, again after draining the early message (the
+        // re-issued wait reuses the pending wake-up), and at the instant.
+        let wake = Time::from_ns(1_000_000);
+        assert_eq!(asks.len(), 3, "{asks:?}");
+        assert!(asks[0] == Time::ZERO && asks[1] < wake && asks[2] == wake);
+        // The sleep is idle time, not compute.
+        let ledger = &r.per_node[1].ledger;
+        assert_eq!(ledger.get(TimeCategory::Compute), Dur::ZERO);
+        assert!(ledger.get(TimeCategory::Idle) > Dur::ns(990_000));
+    }
+
+    #[test]
+    fn timed_wait_expiring_during_a_handler_is_ignored() {
+        // The 2 ms handler is still running when the 1 ms wake-up fires:
+        // the program is next asked when the handler ends, not before.
+        let (r, asks) = timed_wait_run(2_000_000);
+        assert_eq!(r.status, SimStatus::Drained);
+        assert!(r.all_quiescent);
+        assert_eq!(asks.len(), 2, "{asks:?}");
+        assert!(asks[1] > Time::from_ns(2_000_000));
+        assert_eq!(
+            r.per_node[1].ledger.get(TimeCategory::Compute),
+            Dur::ns(2_000_000)
+        );
     }
 
     #[test]

@@ -100,6 +100,13 @@ pub enum Action {
     Send(SendSpec),
     /// Nothing to do until another message arrives.
     Wait,
+    /// Idle until the given instant or until a message arrives,
+    /// whichever comes first; either way the process is asked again.
+    /// Open-loop injectors sleep toward their next scheduled arrival
+    /// with it while arrivals keep being drained (DESIGN §6.8). The
+    /// time slept is charged as idle, not compute. An instant at or
+    /// before `now` wakes the processor at `now`.
+    WaitUntil(Time),
     /// The process has finished.
     Done,
 }
@@ -115,7 +122,8 @@ pub enum Action {
 pub trait Process: Send {
     /// The next thing this node's program does. Called again after the
     /// returned action completes, or — after [`Action::Wait`] — once a
-    /// message handler has run.
+    /// message handler has run (after [`Action::WaitUntil`], also once
+    /// its instant is reached).
     fn next_action(&mut self, now: Time) -> Action;
 
     /// Active-message handler for one arrived message.

@@ -26,7 +26,8 @@ use crate::process::SendSpec;
 pub enum ProcPhase {
     /// Executing; a continuation event is scheduled at `busy_until`.
     Busy,
-    /// Waiting for a message (or finished and serving handlers).
+    /// Waiting for a message or a timed wait's instant (or finished and
+    /// serving handlers).
     Idle,
     /// Waiting for a free outgoing flow-control buffer.
     BlockedSend,
@@ -74,6 +75,11 @@ pub struct ProcState {
     pub pending_resends: VecDeque<WireMsg>,
     /// Guards against scheduling duplicate wake events.
     pub wake_pending: bool,
+    /// Instant of the wake-up event a
+    /// [`Action::WaitUntil`](crate::process::Action::WaitUntil) left in
+    /// the queue and that has not fired yet. An arrival may wake the
+    /// processor first; the timer then fires stale and is ignored.
+    pub timer: Option<Time>,
     /// Fully assembled application messages handled so far.
     pub app_messages_handled: u64,
 }
@@ -89,6 +95,7 @@ impl ProcState {
             queued_sends: VecDeque::new(),
             pending_resends: VecDeque::new(),
             wake_pending: false,
+            timer: None,
             app_messages_handled: 0,
         }
     }

@@ -51,7 +51,10 @@ use crate::processor::{ProcPhase, SendInProgress};
 ///
 /// Version 3: wire messages and send specs carry the connection id the
 /// connection-aware NIs (RDMA queue pairs) stage per fragment.
-pub const SNAPSHOT_VERSION: u64 = 3;
+///
+/// Version 4: processors carry the instant of a pending timed-wait
+/// wake-up (`timer`, `null` when none).
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// Why a snapshot could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -646,6 +649,10 @@ pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotErr
                 Json::Arr(n.proc.pending_resends.iter().map(wire_to_json).collect()),
             )
             .set("wake_pending", n.proc.wake_pending)
+            .set(
+                "timer",
+                n.proc.timer.map_or(Json::Null, |t| Json::from(t.as_ns())),
+            )
             .set("app_messages_handled", n.proc.app_messages_handled);
         let ledger = Json::obj()
             .set(
@@ -988,6 +995,10 @@ pub fn restore(
             .get("wake_pending")
             .and_then(as_bool)
             .ok_or_else(|| mal("wake_pending"))?;
+        n.proc.timer = match proc.get("timer").ok_or_else(|| mal("timer"))? {
+            Json::Null => None,
+            t => Some(Time::from_ns(t.as_u64().ok_or_else(|| mal("timer"))?)),
+        };
         n.proc.app_messages_handled =
             get_u64(proc, "app_messages_handled").ok_or_else(|| mal("app_messages_handled"))?;
 
@@ -1060,6 +1071,16 @@ pub fn restore(
             return Err(mal("sim event in the past"));
         }
         entries.push((Time::from_ns(at), eseq, ev));
+    }
+    // A pending timed wait must still have its wake-up in the queue.
+    for (i, n) in machine.nodes.iter().enumerate() {
+        let Some(t) = n.proc.timer else { continue };
+        let queued = entries.iter().any(|&(at, _, ev)| {
+            at == t && matches!(ev, MachineEvent::ProcRun { node } if node == i)
+        });
+        if !queued {
+            return Err(mal("timer without its wake-up event"));
+        }
     }
     let sim = MachineSim::from_parts(now, seq, fired, entries);
     Ok((machine, sim))
@@ -1358,6 +1379,29 @@ mod tests {
             save(&traced, &mut tsim).err(),
             Some(SnapshotError::UnsupportedTrace)
         );
+    }
+
+    #[test]
+    fn malformed_wait_timer_is_rejected() {
+        let cfg = MachineConfig::with_ni(NiKind::Cm5).nodes(2);
+        let mut m = Machine::new(cfg.clone(), snap_factory(1, 8));
+        let mut sim = MachineSim::new();
+        m.start(&mut sim);
+        let text = save(&m, &mut sim).expect("snapshot").to_compact();
+        assert!(text.contains("\"timer\":null,"));
+        for (forged, what) in [
+            ("", "timer"),
+            ("\"timer\":\"soon\",", "timer"),
+            ("\"timer\":123456,", "timer without its wake-up event"),
+        ] {
+            let bad = nisim_engine::json::parse(&text.replacen("\"timer\":null,", forged, 1))
+                .expect("reparse");
+            assert_eq!(
+                restore(cfg.clone(), snap_factory(1, 8), &bad).err(),
+                Some(mal(what)),
+                "{forged}"
+            );
+        }
     }
 
     #[test]

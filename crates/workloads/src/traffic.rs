@@ -49,14 +49,6 @@ pub const MAX_TENANTS: usize = 16;
 /// workload families.
 const TRAFFIC_SALT: u64 = 0x7_4AFF_1C5A_1700;
 
-/// Polling quantum (ns): the injector sleeps toward its next arrival in
-/// chunks of at most this, because the processor model only drains
-/// received messages between program actions (CM-5-style polling). The
-/// quantum bounds the receive-dispatch slop a sleeping node adds — it
-/// must stay well under the lightest-load interarrival gap and is part
-/// of the deterministic schedule, not tunable noise.
-const POLL_QUANTUM_NS: u64 = 400;
-
 fn encode_tag(tenant: usize, sched_ns: u64) -> u32 {
     ((tenant as u32) << TAG_TIME_BITS) | (sched_ns as u32 & TAG_TIME_MASK)
 }
@@ -572,7 +564,9 @@ impl Process for TrafficProcess {
         };
         let at = self.injectors[t].next_at;
         if at > now_ns {
-            return Action::Compute(Dur::ns((at - now_ns).min(POLL_QUANTUM_NS)));
+            // Sleep toward the arrival; a message landing first wakes
+            // the processor to drain it, and it asks again.
+            return Action::WaitUntil(Time::from_ns(at));
         }
         // The arrival is due (or backlogged): inject now, stamped with
         // its *scheduled* instant so the receiver measures open-loop

@@ -19,9 +19,10 @@ use nisim_bench::{
     golden_path, loadlat_golden_path, rdma_kink_from_records, strided_from_records,
     table5_from_records, LoadCurve,
 };
-use nisim_core::{NiKind, TimeCategory};
+use nisim_core::{MachineConfig, NiKind, TimeCategory};
+use nisim_net::BufferCount;
 use nisim_workloads::apps::MacroApp;
-use nisim_workloads::traffic::TrafficKind;
+use nisim_workloads::traffic::{run_traffic, TrafficKind, TrafficSpec, MAX_LOAD_LEVEL};
 
 fn committed() -> Vec<(String, Vec<RunRecord>)> {
     let path = golden_path();
@@ -754,6 +755,33 @@ fn loadlat_golden_matches_a_fresh_rerun_byte_for_byte() {
          if the change is intended, regenerate with\n\
          `cargo run --release -p nisim-bench --bin loadlat -- --update-goldens`"
     );
+}
+
+/// Sleeping costs no events: an idle injector waits on one timed
+/// wake-up toward its next arrival instead of polling, so even the
+/// lightest load level stays within 8 events per delivered message on
+/// the uniform Poisson ladder (400 ns poll quanta cost ≈ 65 at L1).
+#[test]
+fn traffic_events_per_message_stay_bounded_across_the_ladder() {
+    let cfg = MachineConfig::with_ni(NiKind::Cm5).flow_buffers(BufferCount::Finite(8));
+    for level in 1..=MAX_LOAD_LEVEL {
+        let spec = TrafficSpec {
+            kind: TrafficKind::PoissonUniform,
+            level,
+        };
+        let r = run_traffic(&cfg, &spec.params(cfg.nodes));
+        assert!(
+            r.all_quiescent && r.app_messages > 0,
+            "L{level}: did not drain"
+        );
+        let per_msg = r.events as f64 / r.app_messages as f64;
+        assert!(
+            per_msg <= 8.0,
+            "L{level}: {} events for {} messages ({per_msg:.2} per message)",
+            r.events,
+            r.app_messages
+        );
+    }
 }
 
 /// The drift tripwire: a fresh in-process rerun of the whole golden

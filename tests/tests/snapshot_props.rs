@@ -7,7 +7,7 @@
 //! The container is offline (no proptest), so the generator is a small
 //! hand-rolled LCG — deterministic, so failures reproduce exactly.
 
-use nisim_core::snapshot::{restore, save, SnapshotError};
+use nisim_core::snapshot::{restore, save, SnapshotError, SNAPSHOT_VERSION};
 use nisim_core::{Machine, MachineConfig, MachineSim, NiKind};
 use nisim_engine::{json, Dur, Time};
 use nisim_net::{BufferCount, NodeId, ReceiverDedup, ReliabilityConfig, SeqNo};
@@ -139,9 +139,9 @@ fn any_config_perturbation_is_rejected_at_restore() {
     }
 }
 
-/// Version-3 snapshots carry the connection id on every wire message.
-/// A snapshot stamped with the previous version must be rejected as a
-/// [`SnapshotError::Version`], and a wire `conn` forged past `u32::MAX`
+/// Snapshots carry the connection id on every wire message (since
+/// version 3). A snapshot stamped with the previous version must be
+/// rejected as a [`SnapshotError::Version`], and a wire `conn` forged past `u32::MAX`
 /// must be rejected as [`SnapshotError::Malformed`] — never silently
 /// truncated into a valid connection.
 #[test]
@@ -150,13 +150,18 @@ fn stale_version_and_forged_conn_are_rejected() {
     let snap = mid_run_snapshot(&cfg);
     let mk = |c: &MachineConfig| factory(MacroApp::Em3d, c.nodes, c.seed, snap_params());
 
-    let stale = json::parse(&snap.to_compact().replace("\"version\":3", "\"version\":2")).unwrap();
+    let previous = SNAPSHOT_VERSION - 1;
+    let stale = json::parse(&snap.to_compact().replace(
+        &format!("\"version\":{SNAPSHOT_VERSION}"),
+        &format!("\"version\":{previous}"),
+    ))
+    .unwrap();
     assert!(
         matches!(
             restore(cfg.clone(), mk(&cfg), &stale),
-            Err(SnapshotError::Version { found: 2 })
+            Err(SnapshotError::Version { found }) if found == previous
         ),
-        "a version-2 stamp must be refused"
+        "a version-{previous} stamp must be refused"
     );
 
     // Tamper the first in-flight wire message's conn. Cuts grow until

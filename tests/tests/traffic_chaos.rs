@@ -9,14 +9,17 @@
 //! to the uninterrupted run — per-tenant percentile blocks included.
 //!
 //! Mirrors the kill-and-resume loop of `nisim_bench::chaos`, pointed at
-//! traffic workloads instead of app skeletons.
+//! traffic workloads instead of app skeletons. The record carries no
+//! event count, so the resumed run's fired-event total is compared too:
+//! a timed-wait wake-up lost or duplicated across the cut shows there.
 
 use nisim_bench::record::{fingerprint, RunRecord};
+use nisim_core::processor::ProcPhase;
 use nisim_core::snapshot::{restore, save};
 use nisim_core::{Machine, MachineConfig, MachineSim, NiKind};
 use nisim_engine::{SplitMix64, Time};
 use nisim_net::BufferCount;
-use nisim_workloads::traffic::{TrafficDriver, TrafficKind, TrafficSpec};
+use nisim_workloads::traffic::{TrafficDriver, TrafficKind, TrafficParams, TrafficSpec};
 
 const CHAOS_SEED: u64 = 0x7AFF_1C05;
 const CUTS_PER_POINT: usize = 3;
@@ -53,9 +56,32 @@ fn record_of(
     )
 }
 
+/// The first event count, within `events`, after which some node sits
+/// on a timed wait an arrival has already beaten: its wake-up is still
+/// queued, but the processor is no longer idle.
+fn beaten_timer_cut(cfg: &MachineConfig, params: &TrafficParams, events: u64) -> Option<u64> {
+    let driver = TrafficDriver::new(cfg, params);
+    let mut m = Machine::new(cfg.clone(), driver.factory());
+    let mut sim = MachineSim::new();
+    m.start(&mut sim);
+    while sim.events_fired() < events {
+        m.run_slice(&mut sim, horizon(), 1);
+        let beaten = m
+            .nodes
+            .iter()
+            .any(|n| n.proc.timer.is_some() && n.proc.phase != ProcPhase::Idle);
+        if beaten {
+            return Some(sim.events_fired());
+        }
+    }
+    None
+}
+
 /// The chaos loop for one traffic point: golden uninterrupted run, then
 /// seeded mid-run kills, each serialized → reparsed → restored → resumed
-/// and diffed byte-for-byte against the golden record.
+/// and diffed byte-for-byte (and by event count) against the golden run.
+/// Where injectors also receive, one more cut is taken while an arrival
+/// has beaten a timed wait.
 fn assert_kill_and_resume_reproduces(spec: TrafficSpec, ni: NiKind, salt: u64) {
     let cfg = config(ni);
     let params = spec.params(cfg.nodes);
@@ -80,8 +106,19 @@ fn assert_kill_and_resume_reproduces(spec: TrafficSpec, ni: NiKind, salt: u64) {
     let golden_bytes = golden_record.to_json().to_compact();
 
     let mut rng = SplitMix64::new(CHAOS_SEED ^ salt);
-    for _ in 0..CUTS_PER_POINT {
-        let cut = 1 + rng.gen_range(events.saturating_sub(2).max(1));
+    let mut cuts: Vec<u64> = (0..CUTS_PER_POINT)
+        .map(|_| 1 + rng.gen_range(events.saturating_sub(2).max(1)))
+        .collect();
+    // Incast injectors never receive, so nothing can beat their waits.
+    let beaten = beaten_timer_cut(&cfg, &params, events);
+    assert!(
+        beaten.is_some() || spec.kind == TrafficKind::PoissonIncast,
+        "{}/{}: no arrival ever beat a timed wait",
+        spec.key(),
+        ni.key()
+    );
+    cuts.extend(beaten);
+    for cut in cuts {
         let driver = TrafficDriver::new(&cfg, &params);
         let mut m = Machine::new(cfg.clone(), driver.factory());
         let mut sim = MachineSim::new();
@@ -107,6 +144,13 @@ fn assert_kill_and_resume_reproduces(spec: TrafficSpec, ni: NiKind, salt: u64) {
             golden_bytes,
             resumed_record.to_json().to_compact(),
             "{}/{}: resumed run diverged from golden at cut {cut} ({events} events)",
+            spec.key(),
+            ni.key()
+        );
+        assert_eq!(
+            rsim.events_fired(),
+            events,
+            "{}/{}: resumed run fired a different number of events at cut {cut}",
             spec.key(),
             ni.key()
         );
