@@ -234,13 +234,13 @@ mod tests {
         let mut lane0 = LaneAudit::new(0);
         lane0.events = 1;
         lane0.seeds = vec![(100, 1)];
-        lane0.writes.push(FootprintKey::transfer(10));
+        lane0.writes.push(FootprintKey::egress(10));
         lane0.scheds.push((120, 0));
         lane0.seal();
         let mut lane1 = LaneAudit::new(1);
         lane1.events = 1;
         lane1.seeds = vec![(110, 2)];
-        lane1.reads.push(FootprintKey::transfer(77));
+        lane1.reads.push(FootprintKey::egress(77));
         lane1.scheds.push((150, 0));
         lane1.seal();
         AuditLog {
@@ -275,33 +275,27 @@ mod tests {
     #[test]
     fn cross_lane_write_is_flagged() {
         let mut log = clean_log();
-        // Lane 1 writes the transfer lane 0 wrote: a race.
-        log.epochs[0].lanes[1]
-            .writes
-            .push(FootprintKey::transfer(10));
+        // Lane 1 writes the cell lane 0 wrote: a race.
+        log.epochs[0].lanes[1].writes.push(FootprintKey::egress(10));
         log.epochs[0].lanes[1].seal();
         let v = check_log("t", &log);
-        assert!(v.iter().any(|s| s.contains("conflict on transfer:10")));
+        assert!(v.iter().any(|s| s.contains("conflict on egress:10")));
     }
 
     #[test]
     fn write_vs_read_is_flagged_in_either_order() {
         let mut log = clean_log();
         // Lane 0 reads what lane 1 reads is fine; writing it is not.
-        log.epochs[0].lanes[0]
-            .writes
-            .push(FootprintKey::transfer(77));
+        log.epochs[0].lanes[0].writes.push(FootprintKey::egress(77));
         log.epochs[0].lanes[0].seal();
         let v = check_log("t", &log);
-        assert!(v.iter().any(|s| s.contains("conflict on transfer:77")));
+        assert!(v.iter().any(|s| s.contains("conflict on egress:77")));
     }
 
     #[test]
     fn shared_reads_are_not_conflicts() {
         let mut log = clean_log();
-        log.epochs[0].lanes[0]
-            .reads
-            .push(FootprintKey::transfer(77));
+        log.epochs[0].lanes[0].reads.push(FootprintKey::egress(77));
         log.epochs[0].lanes[0].seal();
         assert!(check_log("t", &log).is_empty());
     }

@@ -290,7 +290,7 @@ fn run_epochs(
             if footprint_mutant {
                 // The seeded bug: every lane also writes one shared
                 // cell — the disjointness check must catch it.
-                log.writes.push(FootprintKey::transfer(777));
+                log.writes.push(FootprintKey::egress(777));
             }
             // Lane heap keyed (at, gen, idx): seeds gen 0 with their
             // wheel seq, creations gen 1 with an insertion counter.

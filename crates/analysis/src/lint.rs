@@ -11,10 +11,13 @@
 //!   or an indexed `Vec`. (`cli` is exempt: its only maps hold parsed
 //!   command-line flags, which are looked up by key and never
 //!   iterated into output.)
-//! * `wall-clock` — `Instant::now`/`SystemTime`/ambient randomness are
-//!   banned in `core`/`engine`/`mem`/`net`: simulated time must be the
-//!   only clock, and every run must be bit-reproducible. (`bench`
-//!   measures real elapsed time by design and is exempt.)
+//! * `wall-clock` — `Instant::now`/`SystemTime`/ambient randomness and
+//!   environment reads (`env::var`/`var_os`/`vars`/`vars_os`) are
+//!   banned in `core`/`engine`/`mem`/`net`/`workloads`/`analysis`:
+//!   simulated time must be the only clock, every input must be one a
+//!   config, record or golden tracks, and every run must be
+//!   bit-reproducible. (`bench` measures real elapsed time by design
+//!   and is exempt.)
 //! * `panic-path` — `.unwrap()`/`.expect()`/`panic!` are banned in the
 //!   simulation hot paths (the event loop, the timing wheel, and the
 //!   machine/NI dispatch) outside the committed allowlist; a mid-sweep
@@ -352,8 +355,9 @@ const HASH_SCOPE: [&str; 6] = [
     "crates/bench/src/",
 ];
 
-/// Crates that must be wall-clock- and entropy-free. (`bench` and `cli`
-/// stay exempt: they measure real elapsed time by design.)
+/// Crates that must be wall-clock-, entropy- and environment-free.
+/// (`bench` and `cli` stay exempt: they measure real elapsed time and
+/// read their knobs from the environment by design.)
 const CLOCK_SCOPE: [&str; 6] = [
     "crates/core/src/",
     "crates/engine/src/",
@@ -499,17 +503,23 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
 
     if in_scope(file, &CLOCK_SCOPE) {
         for (i, t) in toks.iter().enumerate() {
+            let path_to = |name: &[&str]| {
+                punct_at(i + 1, ':')
+                    && punct_at(i + 2, ':')
+                    && ident(i + 3).is_some_and(|n| name.contains(&n))
+            };
             let bad = match ident(i) {
-                Some("SystemTime") => Some("SystemTime reads the wall clock"),
+                Some("SystemTime") => {
+                    Some("SystemTime reads the wall clock; simulated time is the only clock")
+                }
                 Some("thread_rng") | Some("from_entropy") | Some("RandomState") => {
                     Some("ambient randomness breaks reproducibility")
                 }
-                Some("Instant")
-                    if punct_at(i + 1, ':')
-                        && punct_at(i + 2, ':')
-                        && ident(i + 3) == Some("now") =>
-                {
-                    Some("Instant::now reads the wall clock")
+                Some("Instant") if path_to(&["now"]) => {
+                    Some("Instant::now reads the wall clock; simulated time is the only clock")
+                }
+                Some("env") if path_to(&["var", "var_os", "vars", "vars_os"]) => {
+                    Some("environment reads are hidden inputs no config, record or golden tracks")
                 }
                 _ => None,
             };
@@ -518,7 +528,7 @@ pub fn lint_source(file: &str, src: &str) -> Vec<Finding> {
                     file: file.into(),
                     line: t.line,
                     rule: "wall-clock",
-                    message: format!("{message}; simulated time is the only clock"),
+                    message: message.to_string(),
                 });
             }
         }
@@ -913,6 +923,28 @@ mod tests {
         assert!(lint_source("crates/engine/src/x.rs", "fn f(t: Instant) {}").is_empty());
         // bench is exempt: it measures real time by design.
         assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn wall_clock_rule_flags_environment_reads() {
+        for src in [
+            "fn f() { if std::env::var(\"X\").is_ok() {} }",
+            "use std::env;\nfn f() { let _ = env::var_os(\"X\"); }",
+            "fn f() { for (k, v) in std::env::vars() {} }",
+        ] {
+            let f = lint_source("crates/core/src/machine.rs", src);
+            assert!(
+                f.iter().any(|f| f.rule == "wall-clock"),
+                "env read not flagged: {src}"
+            );
+        }
+        // Other `env::` items, a local named `var`, and the exempt
+        // crates stay clean.
+        assert!(lint_source("crates/core/src/x.rs", "fn f() { std::env::args(); }").is_empty());
+        assert!(lint_source("crates/core/src/x.rs", "fn f(var: u32) -> u32 { var }").is_empty());
+        let src = "fn f() { std::env::var(\"NISIM_JOBS\"); }";
+        assert!(lint_source("crates/bench/src/harness.rs", src).is_empty());
+        assert!(lint_source("crates/cli/src/main.rs", src).is_empty());
     }
 
     #[test]

@@ -226,6 +226,18 @@ fn run_selftest() -> bool {
         println!("selftest: FAIL — seeded float-transcendental violation went undetected");
         ok = false;
     }
+    // An environment read smuggled into a handler — the hidden per-drain
+    // input the machine once carried.
+    let seeded = lint::lint_source(
+        "crates/core/src/machine.rs",
+        "fn do_drain() { if std::env::var(\"NISIM_TRACE_DRAIN\").is_ok() { eprintln!(\"drain\"); } }",
+    );
+    if seeded.iter().any(|f| f.rule == "wall-clock") {
+        println!("selftest: seeded env::var read caught by wall-clock lint");
+    } else {
+        println!("selftest: FAIL — seeded environment read went undetected");
+        ok = false;
+    }
     // A thread started outside the epoch driver and the sweep harness.
     let seeded = lint::lint_source(
         "crates/workloads/src/apps/em3d.rs",

@@ -47,7 +47,7 @@
 //! everywhere else (they are how *nondeterminism* usually leaks in).
 
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
@@ -115,13 +115,6 @@ pub(crate) enum Op {
     MsgSize(u64),
     MsgLatency(f64),
     AppMessage,
-    TransferStart {
-        tid: u64,
-        at: Time,
-    },
-    TransferTake {
-        tid: u64,
-    },
 }
 
 /// Replay bookkeeping for one event a lane fired.
@@ -176,9 +169,6 @@ pub(crate) struct LaneSink {
     heap: BinaryHeap<LaneEntry>,
     created: u64,
     progress_delta: u32,
-    /// Transfer ids taken this epoch — an overlay over the epoch-frozen
-    /// `transfer_started` view, so a second take observes the first.
-    taken: Vec<u64>,
     /// The lane's footprint-audit record, present only when
     /// [`MachineConfig::audit`] is on. Purely observational.
     audit: Option<Box<LaneAudit>>,
@@ -202,7 +192,6 @@ impl LaneSink {
             heap: BinaryHeap::new(),
             created: 0,
             progress_delta: 0,
-            taken: Vec::new(),
             audit: audit_on.then(|| Box::new(LaneAudit::new(nid as u32))),
         }
     }
@@ -294,29 +283,6 @@ impl LaneSink {
         self.ops.push(Op::AppMessage);
     }
 
-    pub(crate) fn transfer_start(&mut self, tid: u64, at: Time) {
-        if let Some(a) = &mut self.audit {
-            a.writes.push(FootprintKey::transfer(tid));
-        }
-        self.ops.push(Op::TransferStart { tid, at });
-    }
-
-    pub(crate) fn transfer_take(
-        &mut self,
-        started: &BTreeMap<u64, Time>,
-        tid: u64,
-    ) -> Option<Time> {
-        if let Some(a) = &mut self.audit {
-            a.reads.push(FootprintKey::transfer(tid));
-        }
-        self.ops.push(Op::TransferTake { tid });
-        if self.taken.contains(&tid) {
-            return None;
-        }
-        self.taken.push(tid);
-        started.get(&tid).copied()
-    }
-
     pub(crate) fn inject(&mut self, wire: WireMsg, end: Time) {
         if let Some(a) = &mut self.audit {
             a.writes.push(FootprintKey::egress(self.nid as u64));
@@ -341,7 +307,6 @@ impl LaneSink {
 /// one node, recording global effects into the sink.
 fn run_lane(
     cfg: &MachineConfig,
-    started: &BTreeMap<u64, Time>,
     nodes_len: usize,
     node: &mut Node,
     sink: &mut LaneSink,
@@ -368,10 +333,7 @@ fn run_lane(
             nodes_len,
             cfg,
             node: &mut *node,
-            g: Gmode::Lane {
-                sink: &mut *sink,
-                started,
-            },
+            g: Gmode::Lane { sink: &mut *sink },
         };
         Machine::dispatch(&mut ctx, e.ev);
         sink.end_event(e.at);
@@ -408,9 +370,6 @@ struct EpochWork {
 /// exist to prove exclusivity to the compiler, not to arbitrate races.
 struct Shared {
     nodes: Vec<Mutex<Node>>,
-    /// Epoch-frozen view of [`Globals::transfer_started`] — moved here
-    /// for a parallel epoch's lane phase, moved back for the replay.
-    started: RwLock<BTreeMap<u64, Time>>,
     cfg: MachineConfig,
     gen: AtomicU64,
     shutdown: AtomicBool,
@@ -438,7 +397,6 @@ fn worker_loop(shared: &Shared) {
 /// to participate in its own epoch.
 fn claim_lanes(shared: &Shared) {
     let work = shared.work.read().unwrap();
-    let started = shared.started.read().unwrap();
     loop {
         let i = work.next.fetch_add(1, Ordering::Relaxed);
         if i >= work.lanes.len() {
@@ -450,7 +408,6 @@ fn claim_lanes(shared: &Shared) {
         let cell = &mut *cell;
         run_lane(
             &shared.cfg,
-            &started,
             shared.nodes.len(),
             &mut node,
             &mut cell.sink,
@@ -568,12 +525,6 @@ fn apply_op(
         Op::MsgSize(bytes) => g.msg_size_hist.record(bytes),
         Op::MsgLatency(ns) => g.msg_latency.record(ns),
         Op::AppMessage => g.app_messages += 1,
-        Op::TransferStart { tid, at } => {
-            g.transfer_started.insert(tid, at);
-        }
-        Op::TransferTake { tid } => {
-            g.transfer_started.remove(&tid);
-        }
     }
 }
 
@@ -589,7 +540,6 @@ pub(crate) fn run_epochs(
     let workers = machine.cfg.workers.max(1) as usize;
     let shared = Shared {
         nodes: machine.nodes.drain(..).map(Mutex::new).collect(),
-        started: RwLock::new(BTreeMap::new()),
         cfg: machine.cfg.clone(),
         gen: AtomicU64::new(0),
         shutdown: AtomicBool::new(false),
@@ -733,8 +683,6 @@ fn drive(
         }
         let n_lanes = lanes.len();
 
-        // Freeze the transfer map for concurrent lane reads.
-        *shared.started.write().unwrap() = std::mem::take(&mut machine.g.transfer_started);
         let work = if workers > 1 {
             {
                 let mut w = shared.work.write().unwrap();
@@ -758,29 +706,23 @@ fn drive(
             std::mem::take(&mut *w)
         } else {
             // Single worker: same lane machinery, no pool round-trip.
-            let started = shared.started.read().unwrap();
             for task in &lanes {
                 let cell = &mut *task.cell.lock().unwrap();
                 let mut node = shared.nodes[task.nid].lock().unwrap();
                 run_lane(
                     &shared.cfg,
-                    &started,
                     nodes_len,
                     &mut node,
                     &mut cell.sink,
                     &mut cell.seeds,
                 );
             }
-            drop(started);
             EpochWork {
                 next: AtomicUsize::new(0),
                 done: AtomicUsize::new(0),
                 lanes,
             }
         };
-
-        // Thaw the transfer map; the replay mutates it in serial order.
-        machine.g.transfer_started = std::mem::take(&mut *shared.started.write().unwrap());
 
         // Exact serial replay.
         let mut cells: Vec<LaneCell> = work

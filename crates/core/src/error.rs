@@ -23,21 +23,6 @@ use nisim_net::{FlowStats, MsgId, NodeId, RelStats};
 /// recorded here instead of panicking.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtocolViolation {
-    /// `do_send_step` dispatched with no send in progress.
-    SendStepWithoutCurrentSend {
-        /// The node whose processor was dispatched.
-        node: NodeId,
-    },
-    /// A software re-send dispatched with nothing pending.
-    ResendWithoutPending {
-        /// The node whose processor was dispatched.
-        node: NodeId,
-    },
-    /// A drain dispatched with no consumable fragment.
-    DrainWithoutReady {
-        /// The node whose processor was dispatched.
-        node: NodeId,
-    },
     /// An ack arrived for a fragment that is not outstanding.
     AckForUnknownFragment {
         /// The node that received the ack.
@@ -87,15 +72,6 @@ pub enum ProtocolViolation {
 impl fmt::Display for ProtocolViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtocolViolation::SendStepWithoutCurrentSend { node } => {
-                write!(f, "{node}: send step without a current send")
-            }
-            ProtocolViolation::ResendWithoutPending { node } => {
-                write!(f, "{node}: re-send without a pending resend")
-            }
-            ProtocolViolation::DrainWithoutReady { node } => {
-                write!(f, "{node}: drain without a ready fragment")
-            }
             ProtocolViolation::AckForUnknownFragment { node, msg } => {
                 write!(f, "{node}: ack for unknown fragment {msg:?}")
             }

@@ -105,8 +105,6 @@ pub(crate) struct Globals {
     /// Application message sizes seen so far (payload + 8 B header), the
     /// data behind Table 4.
     pub(crate) msg_size_hist: Histogram,
-    /// When each in-flight transfer's send began (for latency stats).
-    pub(crate) transfer_started: BTreeMap<u64, Time>,
     pub(crate) app_messages: u64,
     /// End-to-end application message latency (send start to handler
     /// dispatch), in nanoseconds.
@@ -347,7 +345,6 @@ impl Machine {
             nodes,
             g: Globals {
                 msg_size_hist: Histogram::new(),
-                transfer_started: BTreeMap::new(),
                 app_messages: 0,
                 msg_latency: Summary::new(),
                 trace: if trace_enabled {
@@ -726,20 +723,20 @@ impl Machine {
         }
 
         // 1. Handle a consumable received fragment, if any.
-        if ctx.node.ni.peek_ready(now).is_some() {
-            Machine::do_drain(ctx);
+        if let Some(entry) = ctx.node.ni.pop_ready(now) {
+            Machine::do_drain(ctx, entry);
             return;
         }
 
         // 2. Re-send returned fragments (FIFO NIs only).
-        if !ctx.node.proc.pending_resends.is_empty() {
-            Machine::do_resend(ctx);
+        if let Some(wire) = ctx.node.proc.pending_resends.pop_front() {
+            Machine::do_resend(ctx, wire);
             return;
         }
 
         // 3. Continue an in-progress send.
-        if ctx.node.proc.current_send.is_some() {
-            Machine::do_send_step(ctx);
+        if let Some(send) = ctx.node.proc.current_send.take() {
+            Machine::do_send_step(ctx, send);
             return;
         }
 
@@ -801,22 +798,22 @@ impl Machine {
             spec.dst
         );
         let transfer_id = ctx.node.alloc_transfer_id();
-        ctx.transfer_start(transfer_id, ctx.now);
         ctx.msg_size(spec.payload_bytes + ctx.cfg.net.header_bytes);
         let frags = fragment_payload(&ctx.cfg.net, spec.payload_bytes);
-        ctx.node.proc.current_send = Some(SendInProgress {
+        let send = SendInProgress {
             spec,
             transfer_id,
+            started: ctx.now,
             frags,
             next: 0,
             checked_space: false,
-        });
-        Machine::do_send_step(ctx);
+        };
+        Machine::do_send_step(ctx, send);
     }
 
-    /// Injects the next fragment of the current send, or blocks on flow
-    /// control.
-    fn do_send_step(ctx: &mut EvCtx<'_>) {
+    /// Injects the next fragment of `send`, or blocks on flow control;
+    /// an unfinished send is parked as the processor's current send.
+    fn do_send_step(ctx: &mut EvCtx<'_>, mut send: SendInProgress) {
         let now = ctx.now;
         let nid = ctx.nid;
         let costs = ctx.cfg.costs;
@@ -824,20 +821,8 @@ impl Machine {
         let backoff0 = ctx.cfg.retry_backoff;
         let rel_on = ctx.cfg.reliability.enabled;
 
-        if ctx.node.proc.current_send.is_none() {
-            ctx.violation(
-                now,
-                ProtocolViolation::SendStepWithoutCurrentSend {
-                    node: NodeId(nid as u32),
-                },
-            );
-            return;
-        }
         let (wire, inject_ready, release, proc_release) = {
             let node = &mut *ctx.node;
-            let Some(send) = node.proc.current_send.as_mut() else {
-                return;
-            };
             let frag = send.frags[send.next];
             let mut t = now;
             if !send.checked_space {
@@ -847,6 +832,7 @@ impl Machine {
             }
             if !node.ni.fc.try_alloc_send() {
                 // Stall until an ack releases a buffer.
+                node.proc.current_send = Some(send);
                 node.proc.phase = ProcPhase::BlockedSend;
                 return;
             }
@@ -878,10 +864,11 @@ impl Machine {
             node.ni.stats.payload_bytes_sent.add(frag.payload_bytes);
             let spec = send.spec;
             let transfer_id = send.transfer_id;
+            let started = send.started;
             send.next += 1;
             send.checked_space = false;
-            if send.is_complete() {
-                node.proc.current_send = None;
+            if !send.is_complete() {
+                node.proc.current_send = Some(send);
             }
             let seq = rel_on.then(|| node.ni.rel_tx.next_seq(spec.dst));
             (
@@ -893,6 +880,7 @@ impl Machine {
                     frag,
                     tag: spec.tag,
                     total_payload: spec.payload_bytes,
+                    started,
                     seq,
                     conn,
                 },
@@ -1066,6 +1054,7 @@ impl Machine {
                 frag: wire.frag,
                 tag: wire.tag,
                 total_payload: wire.total_payload,
+                started: wire.started,
                 ready_at: dep.done,
                 loc: dep.loc,
                 frees_buffer_at_drain: !frees_at_deposit,
@@ -1166,7 +1155,8 @@ impl Machine {
         // the other is rejected and returned; the late return then finds
         // no outstanding entry and its buffer already released. Absorb
         // it; without the reliability layer it is a recorded violation.
-        if !ctx.node.ni.outstanding.contains_key(&wire.id) {
+        let node = &mut *ctx.node;
+        let Some(entry) = node.ni.outstanding.get_mut(&wire.id) else {
             if !ctx.cfg.reliability.enabled {
                 ctx.violation(
                     ctx.now,
@@ -1177,14 +1167,10 @@ impl Machine {
                 );
             }
             return;
-        }
-        let node = &mut *ctx.node;
-        let Some(entry) = node.ni.outstanding.get_mut(&wire.id) else {
-            return;
         };
-        node.ni.fc.return_absorbed();
         let backoff = entry.backoff;
         entry.backoff = (backoff * 2).min(max_backoff);
+        node.ni.fc.return_absorbed();
         ctx.sched(
             ctx.now + backoff,
             MachineEvent::Retry {
@@ -1196,7 +1182,7 @@ impl Machine {
 
     /// Retries a previously returned fragment once its backoff elapses.
     pub(crate) fn retry(ctx: &mut EvCtx<'_>, src: NodeId, id: MsgId) {
-        match ctx.node.ni.outstanding.get(&id) {
+        let wire = match ctx.node.ni.outstanding.get(&id) {
             None => {
                 // Acked while the backoff ran (duplicate races).
                 if !ctx.cfg.reliability.enabled {
@@ -1208,13 +1194,10 @@ impl Machine {
                 return;
             }
             Some(entry) if entry.gave_up => return,
-            Some(_) => {}
-        }
+            Some(entry) => entry.wire,
+        };
         ctx.record(ctx.now, src, id, TraceKind::Retry);
         let node = &mut *ctx.node;
-        let Some(wire) = node.ni.outstanding.get(&id).map(|e| e.wire) else {
-            return;
-        };
         node.ni.fc.retried();
         if node.ni.model.frees_buffer_at_deposit() {
             // NI-managed buffering: the NI re-injects on its own.
@@ -1232,24 +1215,12 @@ impl Machine {
     /// buffering time (§3.2, §5.1.2: "the sender must consume the
     /// returning message from the network into the previously allocated
     /// buffer and retry the send later").
-    fn do_resend(ctx: &mut EvCtx<'_>) {
+    fn do_resend(ctx: &mut EvCtx<'_>, wire: WireMsg) {
         let now = ctx.now;
         let costs = ctx.cfg.costs;
         let header = ctx.cfg.net.header_bytes;
-        if ctx.node.proc.pending_resends.is_empty() {
-            ctx.violation(
-                now,
-                ProtocolViolation::ResendWithoutPending {
-                    node: NodeId(ctx.nid as u32),
-                },
-            );
-            return;
-        }
-        let (wire, inject_ready, release) = {
+        let (inject_ready, release) = {
             let node = &mut *ctx.node;
-            let Some(wire) = node.proc.pending_resends.pop_front() else {
-                return;
-            };
             let wire_bytes = wire.wire_bytes(header);
             let consumed = node.ni.model.drain_fragment(
                 &mut node.hw,
@@ -1269,7 +1240,7 @@ impl Machine {
             );
             node.ledger
                 .charge_to(path.proc_release, TimeCategory::Buffering);
-            (wire, path.inject_ready, path.proc_release)
+            (path.inject_ready, path.proc_release)
         };
         ctx.inject(wire, inject_ready, Component::LinkSerialization);
         let node = &mut *ctx.node;
@@ -1278,29 +1249,17 @@ impl Machine {
         ctx.sched(release, MachineEvent::ProcRun { node: ctx.nid });
     }
 
-    /// Drains the oldest consumable fragment and runs the handler if it
+    /// Drains a consumable fragment and runs the handler if it
     /// completes an application message.
-    fn do_drain(ctx: &mut EvCtx<'_>) {
+    fn do_drain(ctx: &mut EvCtx<'_>, entry: RxEntry) {
         let now = ctx.now;
         let nid = ctx.nid;
         let costs = ctx.cfg.costs;
         let header = ctx.cfg.net.header_bytes;
 
-        if ctx.node.ni.peek_ready(now).is_none() {
-            ctx.violation(
-                now,
-                ProtocolViolation::DrainWithoutReady {
-                    node: NodeId(nid as u32),
-                },
-            );
-            return;
-        }
         ctx.progress();
-        let (entry, drained_at) = {
+        let drained_at = {
             let node = &mut *ctx.node;
-            let Some(entry) = node.ni.pop_ready(now) else {
-                return;
-            };
             let wire_bytes = entry.frag.payload_bytes + header;
             let t = node.ni.model.detection(&mut node.hw, &costs, now);
             let t = node.ni.model.drain_fragment(
@@ -1312,18 +1271,10 @@ impl Machine {
                 &entry.loc,
             );
             node.ledger.charge_to(t, TimeCategory::DataTransfer);
-            if std::env::var("NISIM_TRACE_DRAIN").is_ok() {
-                eprintln!(
-                    "drain node{nid} dur={} frag={:?} loc={:?}",
-                    (t - now).as_ns(),
-                    entry.frag.payload_bytes,
-                    entry.loc
-                );
-            }
             if entry.frees_buffer_at_drain {
                 node.ni.fc.free_recv();
             }
-            (entry, t)
+            t
         };
 
         ctx.charge_span(
@@ -1342,19 +1293,26 @@ impl Machine {
         );
 
         // Assembly: the application message completes when all its
-        // fragments are drained. The assembly map is keyed per receiving
+        // fragments are drained. A single-fragment message completes at
+        // once; larger ones count drains in a map keyed per receiving
         // node by (source node, transfer id) — transfer ids are unique
         // per source (node-tagged in the high bits), so the key cannot
         // collide across senders.
-        let key = (entry.src.0, entry.transfer_id);
-        let drained = self_entry_increment(&mut ctx.node.assembling, key);
-        let finish = if drained == entry.frag.of {
-            ctx.node.assembling.remove(&key);
-            ctx.app_message();
-            if let Some(started) = ctx.transfer_take(entry.transfer_id) {
-                ctx.msg_latency(drained_at.saturating_since(started).as_ns() as f64);
-                ctx.msg_rtt(drained_at.saturating_since(started).as_ns());
+        let complete = entry.frag.of == 1 || {
+            let key = (entry.src.0, entry.transfer_id);
+            let drained = ctx.node.assembling.entry(key).or_insert(0);
+            *drained += 1;
+            let done = *drained == entry.frag.of;
+            if done {
+                ctx.node.assembling.remove(&key);
             }
+            done
+        };
+        let finish = if complete {
+            ctx.app_message();
+            let latency = drained_at.saturating_since(entry.started).as_ns();
+            ctx.msg_latency(latency as f64);
+            ctx.msg_rtt(latency);
             let node = &mut *ctx.node;
             let dispatch_done = drained_at
                 + node
@@ -1395,12 +1353,6 @@ impl Machine {
         node.proc.busy_until = finish;
         ctx.sched(finish, MachineEvent::ProcRun { node: nid });
     }
-}
-
-fn self_entry_increment(map: &mut BTreeMap<(u32, u64), u32>, key: (u32, u64)) -> u32 {
-    let v = map.entry(key).or_insert(0);
-    *v += 1;
-    *v
 }
 
 impl Globals {
@@ -1516,13 +1468,9 @@ pub(crate) enum Gmode<'a> {
     },
     /// Epoch-parallel lane execution: effects are recorded as ops and
     /// replayed in exact serial order by the coordinator
-    /// (`crate::epoch`). `started` is the epoch-frozen view of
-    /// [`Globals::transfer_started`] — reads are safe because a transfer
-    /// can only complete a full wire latency after its insert, which the
-    /// lookahead puts in a later epoch.
+    /// (`crate::epoch`).
     Lane {
         sink: &'a mut crate::epoch::LaneSink,
-        started: &'a BTreeMap<u64, Time>,
     },
 }
 
@@ -1618,22 +1566,6 @@ impl EvCtx<'_> {
         match &mut self.g {
             Gmode::Serial { g, .. } => g.app_messages += 1,
             Gmode::Lane { sink, .. } => sink.app_message(),
-        }
-    }
-
-    fn transfer_start(&mut self, tid: u64, at: Time) {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => {
-                g.transfer_started.insert(tid, at);
-            }
-            Gmode::Lane { sink, .. } => sink.transfer_start(tid, at),
-        }
-    }
-
-    fn transfer_take(&mut self, tid: u64) -> Option<Time> {
-        match &mut self.g {
-            Gmode::Serial { g, .. } => g.transfer_started.remove(&tid),
-            Gmode::Lane { sink, started } => sink.transfer_take(started, tid),
         }
     }
 
@@ -2281,7 +2213,9 @@ mod latency_tests {
     use super::tests::echo_factory;
     use super::*;
     use crate::ni::NiKind;
+    use crate::process::HandlerSpec;
     use nisim_net::BufferCount;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn message_latency_is_recorded_per_app_message() {
@@ -2321,5 +2255,121 @@ mod latency_tests {
             loose.msg_latency.max() > tight.msg_latency.min(),
             "deep buffering must show queueing delay"
         );
+    }
+
+    /// Node 0 sends `payloads` to node 1 in order, logging when each
+    /// send starts, and is done; node 1 only drains.
+    struct Script {
+        payloads: Vec<u64>,
+        next: usize,
+        starts: Arc<Mutex<Vec<Time>>>,
+    }
+
+    impl Process for Script {
+        fn next_action(&mut self, now: Time) -> Action {
+            let Some(&bytes) = self.payloads.get(self.next) else {
+                return Action::Done;
+            };
+            self.next += 1;
+            self.starts.lock().unwrap().push(now);
+            Action::Send(SendSpec::new(NodeId(1), bytes, 0))
+        }
+
+        fn on_message(&mut self, _msg: &AppMessage, _now: Time) -> HandlerSpec {
+            HandlerSpec::compute(Dur::ns(10))
+        }
+
+        fn is_done(&self) -> bool {
+            self.next >= self.payloads.len()
+        }
+    }
+
+    fn script_factory(
+        payloads: &[u64],
+        starts: &Arc<Mutex<Vec<Time>>>,
+    ) -> impl FnMut(NodeId) -> Box<dyn Process> {
+        let (payloads, starts) = (payloads.to_vec(), Arc::clone(starts));
+        move |id| {
+            Box::new(Script {
+                payloads: if id.0 == 0 { payloads.to_vec() } else { vec![] },
+                next: 0,
+                starts: Arc::clone(&starts),
+            })
+        }
+    }
+
+    #[test]
+    fn latency_runs_from_send_start_to_the_last_drain() {
+        // 600 B is three fragments (248 + 248 + 104); the 40 B sends in
+        // between are one each. A single buffer forces returns and
+        // retries, so fragments of different transfers interleave.
+        let payloads = [600, 40, 600, 40, 40, 600, 40];
+        let cfg = MachineConfig::with_ni(NiKind::Cm5)
+            .nodes(2)
+            .flow_buffers(BufferCount::Finite(1));
+        let net = cfg.net;
+        let starts = Arc::default();
+        let (report, trace) = Machine::run_traced(cfg, script_factory(&payloads, &starts));
+        let starts = starts.lock().unwrap();
+        assert!(report.all_quiescent);
+        assert!(report.retries > 0, "the single buffer should force retries");
+        let at = |kind: TraceKind, msg: MsgId| {
+            trace
+                .iter()
+                .filter(|e| e.kind == kind && e.msg == msg)
+                .map(|e| e.at)
+                .max()
+                .expect("traced")
+        };
+        // Node 0 allocates one fragment id per fragment, in send order.
+        let mut first = 0u64;
+        let mut samples: Vec<(Time, u64)> = payloads
+            .iter()
+            .zip(starts.iter())
+            .map(|(&bytes, &started)| {
+                let n = fragment_payload(&net, bytes).len() as u64;
+                let ids = (first..first + n).map(MsgId);
+                let last_drain = ids.map(|id| at(TraceKind::Drain, id)).max().expect("frags");
+                first += n;
+                (last_drain, last_drain.saturating_since(started).as_ns())
+            })
+            .collect();
+        assert_eq!(
+            first,
+            3 * 3 + 4,
+            "three 3-fragment and four 1-fragment sends"
+        );
+        samples.sort();
+        let mut expected = Summary::new();
+        for (_, ns) in samples {
+            expected.record(ns as f64);
+        }
+        assert_eq!(report.msg_latency, expected);
+        assert_eq!(report.msg_latency.count(), report.app_messages);
+        assert_eq!(report.app_messages, payloads.len() as u64);
+    }
+
+    #[test]
+    fn duplicated_completions_each_record_a_latency() {
+        use nisim_net::FaultConfig;
+        // Duplication with the reliability layer off delivers some
+        // messages twice (each duplicate's ack is then unknown). Every
+        // completion carries its own send start, so the latency count
+        // tracks `app_messages` — duplicates included.
+        let cfg = MachineConfig::with_ni(NiKind::Cm5)
+            .nodes(2)
+            .flow_buffers(BufferCount::Finite(8))
+            .fault(FaultConfig {
+                dup_p: 0.5,
+                ..FaultConfig::default()
+            });
+        let r = Machine::run(cfg, script_factory(&[40; 12], &Arc::default()));
+        assert!(r.fault_stats.duplicated > 0);
+        assert!(r.app_messages > 12, "duplicates complete again");
+        assert_eq!(r.msg_latency.count(), r.app_messages);
+        assert!(r
+            .violations
+            .iter()
+            .any(|v| matches!(v.kind, ProtocolViolation::AckForUnknownFragment { .. })));
     }
 }

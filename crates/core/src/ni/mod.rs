@@ -363,6 +363,8 @@ pub struct RxEntry {
     pub tag: u32,
     /// Total payload of the whole transfer.
     pub total_payload: u64,
+    /// When the sender began the transfer (the latency sample's start).
+    pub started: Time,
     /// When the deposit completes (consumable from then on).
     pub ready_at: Time,
     /// Where the fragment lives.
@@ -399,6 +401,9 @@ pub struct WireMsg {
     pub tag: u32,
     /// Total payload of the whole transfer.
     pub total_payload: u64,
+    /// When the sender began the transfer, carried so the receiver can
+    /// take the latency sample without any machine-global lookup.
+    pub started: Time,
     /// Logical connection the fragment travels on (already resolved by
     /// the sender: never 0 on the wire). Connection-aware receiving NIs
     /// key their per-connection state on it.
@@ -504,23 +509,9 @@ impl NiUnit {
         }
     }
 
-    /// The first consumable fragment at `now`, if any.
-    pub fn peek_ready(&self, now: Time) -> Option<&RxEntry> {
-        self.rx_ready.front().filter(|e| e.ready_at <= now)
-    }
-
-    /// Pops the first consumable fragment at `now`.
+    /// Pops the first consumable fragment at `now`, if any.
     pub fn pop_ready(&mut self, now: Time) -> Option<RxEntry> {
-        if self.peek_ready(now).is_some() {
-            self.rx_ready.pop_front()
-        } else {
-            None
-        }
-    }
-
-    /// The earliest time any queued fragment becomes consumable.
-    pub fn next_ready_at(&self) -> Option<Time> {
-        self.rx_ready.iter().map(|e| e.ready_at).min()
+        self.rx_ready.pop_front_if(|e| e.ready_at <= now)
     }
 }
 

@@ -228,9 +228,10 @@ pub struct Node {
     pub(crate) next_msg_id: u64,
     /// Node-local counter behind [`Node::alloc_transfer_id`].
     pub(crate) next_transfer_id: u64,
-    /// Fragments drained so far per incoming `(src, transfer)` — the
-    /// receive-side assembly state of application messages addressed to
-    /// this node. Node-local so a node's event chain (including a crash
+    /// Fragments drained so far per incoming multi-fragment
+    /// `(src, transfer)` — the receive-side assembly state of application
+    /// messages addressed to this node (a single-fragment message
+    /// completes on its one drain and never enters). Node-local so a node's event chain (including a crash
     /// wiping its partial assemblies) touches no shared state.
     pub(crate) assembling: std::collections::BTreeMap<(u32, u64), u32>,
 }

@@ -40,6 +40,8 @@ pub struct SendInProgress {
     pub spec: SendSpec,
     /// Transfer identity (shared by all fragments).
     pub transfer_id: u64,
+    /// When the send began (stamped on every fragment for the latency).
+    pub started: Time,
     /// The fragments to inject, in order.
     pub frags: Vec<Fragment>,
     /// Index of the next fragment to inject.
@@ -145,6 +147,7 @@ mod tests {
         let s = SendInProgress {
             spec: SendSpec::new(NodeId(1), 8, 0),
             transfer_id: 0,
+            started: Time::ZERO,
             frags: vec![Fragment {
                 index: 0,
                 of: 1,

@@ -54,7 +54,11 @@ use crate::processor::{ProcPhase, SendInProgress};
 ///
 /// Version 4: processors carry the instant of a pending timed-wait
 /// wake-up (`timer`, `null` when none).
-pub const SNAPSHOT_VERSION: u64 = 4;
+///
+/// Version 5: a transfer's send start travels on its in-flight send,
+/// wire messages and rx entries (`started`); the machine-global
+/// `transfer_started` table and the bus `queueing` summary are gone.
+pub const SNAPSHOT_VERSION: u64 = 5;
 
 /// Why a snapshot could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -193,6 +197,7 @@ fn wire_to_json(w: &WireMsg) -> Json {
         .set("frag", frag_to_json(&w.frag))
         .set("tag", w.tag)
         .set("total_payload", w.total_payload)
+        .set("started", w.started.as_ns())
         .set(
             "seq",
             match w.seq {
@@ -221,6 +226,7 @@ fn wire_from_json(v: &Json) -> Option<WireMsg> {
         frag: frag_from_json(v.get("frag")?)?,
         tag: tag as u32,
         total_payload: get_u64(v, "total_payload")?,
+        started: Time::from_ns(get_u64(v, "started")?),
         seq,
         conn: conn as u32,
     })
@@ -271,6 +277,7 @@ fn rx_to_json(e: &RxEntry) -> Json {
         .set("frag", frag_to_json(&e.frag))
         .set("tag", e.tag)
         .set("total_payload", e.total_payload)
+        .set("started", e.started.as_ns())
         .set("ready_at", e.ready_at.as_ns())
         .set("loc", loc_to_json(&e.loc))
         .set("frees_buffer_at_drain", e.frees_buffer_at_drain)
@@ -288,6 +295,7 @@ fn rx_from_json(v: &Json, geo: BlockGeometry) -> Option<RxEntry> {
         frag: frag_from_json(v.get("frag")?)?,
         tag: tag as u32,
         total_payload: get_u64(v, "total_payload")?,
+        started: Time::from_ns(get_u64(v, "started")?),
         ready_at: Time::from_ns(get_u64(v, "ready_at")?),
         loc: loc_from_json(v.get("loc")?, geo)?,
         frees_buffer_at_drain: as_bool(v.get("frees_buffer_at_drain")?)?,
@@ -419,15 +427,6 @@ fn event_from_json(v: &Json) -> Option<MachineEvent> {
 fn violation_to_json(v: &Violation) -> Json {
     let base = Json::obj().set("at", v.at.as_ns());
     match v.kind {
-        ProtocolViolation::SendStepWithoutCurrentSend { node } => {
-            base.set("kind", "send_step").set("node", node.0)
-        }
-        ProtocolViolation::ResendWithoutPending { node } => {
-            base.set("kind", "resend").set("node", node.0)
-        }
-        ProtocolViolation::DrainWithoutReady { node } => {
-            base.set("kind", "drain").set("node", node.0)
-        }
         ProtocolViolation::AckForUnknownFragment { node, msg } => base
             .set("kind", "unknown_ack")
             .set("node", node.0)
@@ -461,9 +460,6 @@ fn violation_from_json(v: &Json) -> Option<Violation> {
     let node = || node_id(get_u64(v, "node")?);
     let msg = || Some(MsgId(get_u64(v, "msg")?));
     let kind = match v.get("kind")?.as_str()? {
-        "send_step" => ProtocolViolation::SendStepWithoutCurrentSend { node: node()? },
-        "resend" => ProtocolViolation::ResendWithoutPending { node: node()? },
-        "drain" => ProtocolViolation::DrainWithoutReady { node: node()? },
         "unknown_ack" => ProtocolViolation::AckForUnknownFragment {
             node: node()?,
             msg: msg()?,
@@ -503,6 +499,7 @@ fn send_in_progress_to_json(s: &SendInProgress) -> Json {
     Json::obj()
         .set("spec", spec_to_json(&s.spec))
         .set("transfer_id", s.transfer_id)
+        .set("started", s.started.as_ns())
         .set(
             "frags",
             Json::Arr(s.frags.iter().map(frag_to_json).collect()),
@@ -525,6 +522,7 @@ fn send_in_progress_from_json(v: &Json) -> Option<SendInProgress> {
     Some(SendInProgress {
         spec: spec_from_json(v.get("spec")?)?,
         transfer_id: get_u64(v, "transfer_id")?,
+        started: Time::from_ns(get_u64(v, "started")?),
         frags,
         next,
         checked_space: as_bool(v.get("checked_space")?)?,
@@ -696,15 +694,6 @@ pub fn save(machine: &Machine, sim: &mut MachineSim) -> Result<Json, SnapshotErr
     let g = &machine.g;
     let mut mach = Json::obj()
         .set("msg_size_hist", g.msg_size_hist.to_json())
-        .set(
-            "transfer_started",
-            Json::Arr(
-                g.transfer_started
-                    .iter()
-                    .map(|(&id, &at)| Json::Arr(vec![Json::from(id), Json::from(at.as_ns())]))
-                    .collect(),
-            ),
-        )
         .set("app_messages", g.app_messages)
         .set("msg_latency", g.msg_latency.to_json())
         .set("fabric", g.fabric.snapshot())
@@ -795,22 +784,6 @@ pub fn restore(
         .get("msg_size_hist")
         .and_then(Histogram::from_json)
         .ok_or_else(|| mal("msg_size_hist"))?;
-    let mut transfer_started = BTreeMap::new();
-    for entry in m
-        .get("transfer_started")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| mal("transfer_started"))?
-    {
-        let [id, at] = entry
-            .as_arr()
-            .and_then(|a| <&[Json; 2]>::try_from(a).ok())
-            .ok_or_else(|| mal("transfer_started entry"))?;
-        let (Some(id), Some(at)) = (id.as_u64(), at.as_u64()) else {
-            return Err(mal("transfer_started entry"));
-        };
-        transfer_started.insert(id, Time::from_ns(at));
-    }
-    machine.g.transfer_started = transfer_started;
     machine.g.app_messages = get_u64(m, "app_messages").ok_or_else(|| mal("app_messages"))?;
     machine.g.msg_latency = m
         .get("msg_latency")
@@ -1246,6 +1219,57 @@ mod tests {
             let continued = run_to_end(&mut m, &mut sim);
             assert_eq!(report_key(&continued), report_key(&golden_report));
         }
+    }
+
+    #[test]
+    fn cut_inside_a_multi_fragment_send_keeps_the_latency() {
+        // 600 B pings are three fragments each: cut at every event where
+        // the sender is part-way through one, or the receiver holds a
+        // partial assembly, and the resumed run must reproduce the
+        // latency summary — the send start rides in the snapshot on the
+        // in-flight send, the wire messages and the rx entries.
+        let cfg = || {
+            MachineConfig::with_ni(NiKind::Cm5)
+                .nodes(2)
+                .flow_buffers(BufferCount::Finite(2))
+        };
+        let mut golden = Machine::new(cfg(), snap_factory(4, 600));
+        let mut gsim = MachineSim::new();
+        golden.start(&mut gsim);
+        let golden_report = run_to_end(&mut golden, &mut gsim);
+        assert!(golden_report.all_quiescent);
+        assert_eq!(golden_report.msg_latency.count(), 8);
+
+        let mut m = Machine::new(cfg(), snap_factory(4, 600));
+        let mut sim = MachineSim::new();
+        m.start(&mut sim);
+        let window = m.cfg.watchdog_window;
+        let (mut mid_send, mut mid_assembly) = (0, 0);
+        while sim.pending() > 0 {
+            sim.run_watched(&mut m, Time::from_ns(10_000_000_000), 1, window, |x| {
+                x.g.progress
+            });
+            let sending = m.nodes[0]
+                .proc
+                .current_send
+                .as_ref()
+                .is_some_and(|s| s.next > 0 && !s.is_complete());
+            let assembling = !m.nodes[1].assembling.is_empty();
+            if !sending && !assembling {
+                continue;
+            }
+            mid_send += usize::from(sending);
+            mid_assembly += usize::from(assembling);
+            let snap = save(&m, &mut sim).expect("snapshot");
+            let reparsed = nisim_engine::json::parse(&snap.to_compact()).expect("parse");
+            let (mut resumed, mut rsim) =
+                restore(cfg(), snap_factory(4, 600), &reparsed).expect("restore");
+            let resumed_report = run_to_end(&mut resumed, &mut rsim);
+            assert_eq!(resumed_report.msg_latency, golden_report.msg_latency);
+            assert_eq!(report_key(&resumed_report), report_key(&golden_report));
+        }
+        assert!(mid_send > 0, "no cut landed inside a send");
+        assert!(mid_assembly > 0, "no cut landed inside an assembly");
     }
 
     fn crash_cfg(start_ns: u64, end_ns: u64) -> MachineConfig {

@@ -29,12 +29,6 @@ pub enum FootprintKind {
     /// recording them keeps the footprint model honest about what a
     /// lane touches.
     NodeState,
-    /// An in-flight transfer's start-time entry
-    /// (`Globals::transfer_started`), keyed by the globally unique
-    /// transfer id. Started by the sender, taken by the receiver a full
-    /// wire latency later — the audit proves the two never share an
-    /// epoch.
-    Transfer,
     /// A node's egress port (fabric handoff), keyed by node id.
     Egress,
 }
@@ -43,7 +37,6 @@ impl FootprintKind {
     fn code(self) -> u64 {
         match self {
             FootprintKind::NodeState => 0,
-            FootprintKind::Transfer => 1,
             FootprintKind::Egress => 2,
         }
     }
@@ -51,7 +44,6 @@ impl FootprintKind {
     fn from_code(code: u64) -> Option<FootprintKind> {
         match code {
             0 => Some(FootprintKind::NodeState),
-            1 => Some(FootprintKind::Transfer),
             2 => Some(FootprintKind::Egress),
             _ => None,
         }
@@ -62,7 +54,6 @@ impl std::fmt::Display for FootprintKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FootprintKind::NodeState => write!(f, "node"),
-            FootprintKind::Transfer => write!(f, "transfer"),
             FootprintKind::Egress => write!(f, "egress"),
         }
     }
@@ -80,14 +71,6 @@ impl FootprintKey {
     pub fn node(id: u64) -> FootprintKey {
         FootprintKey {
             kind: FootprintKind::NodeState,
-            id,
-        }
-    }
-
-    /// A transfer-start entry.
-    pub fn transfer(id: u64) -> FootprintKey {
-        FootprintKey {
-            kind: FootprintKind::Transfer,
             id,
         }
     }
@@ -425,13 +408,13 @@ mod tests {
         let mut lane0 = LaneAudit::new(0);
         lane0.events = 2;
         lane0.seeds = vec![(100, 7), (110, 9)];
-        lane0.writes.push(FootprintKey::transfer(42));
+        lane0.writes.push(FootprintKey::egress(42));
         lane0.writes.push(FootprintKey::egress(0));
         lane0.scheds.push((140, 1));
         let mut lane1 = LaneAudit::new(1);
         lane1.events = 1;
         lane1.seeds = vec![(105, 8)];
-        lane1.reads.push(FootprintKey::transfer(41));
+        lane1.reads.push(FootprintKey::egress(41));
         lane0.seal();
         lane1.seal();
         AuditLog {
@@ -482,16 +465,16 @@ mod tests {
     #[test]
     fn seal_sorts_and_dedups() {
         let mut lane = LaneAudit::new(3);
-        lane.writes.push(FootprintKey::transfer(9));
-        lane.writes.push(FootprintKey::transfer(9));
+        lane.writes.push(FootprintKey::egress(9));
+        lane.writes.push(FootprintKey::egress(9));
         lane.writes.push(FootprintKey::egress(3));
         lane.seal();
         assert_eq!(
             lane.writes,
             vec![
                 FootprintKey::node(3),
-                FootprintKey::transfer(9),
                 FootprintKey::egress(3),
+                FootprintKey::egress(9),
             ]
         );
     }
@@ -499,19 +482,19 @@ mod tests {
     #[test]
     fn footprint_keys_order_by_kind_then_id() {
         let mut keys = vec![
-            FootprintKey::egress(0),
-            FootprintKey::transfer(5),
+            FootprintKey::egress(5),
             FootprintKey::node(9),
-            FootprintKey::transfer(1),
+            FootprintKey::egress(0),
+            FootprintKey::node(1),
         ];
         keys.sort();
         assert_eq!(
             keys,
             vec![
+                FootprintKey::node(1),
                 FootprintKey::node(9),
-                FootprintKey::transfer(1),
-                FootprintKey::transfer(5),
                 FootprintKey::egress(0),
+                FootprintKey::egress(5),
             ]
         );
     }

@@ -23,7 +23,7 @@
 //! the address/data phases occupy the bus, the DRAM access itself does not.
 
 use nisim_engine::metrics::{Component, ComponentCycles, Log2Hist};
-use nisim_engine::stats::{Counter, Summary};
+use nisim_engine::stats::Counter;
 use nisim_engine::{Dur, Json, Time};
 
 /// The transaction types the study's NIs generate.
@@ -147,13 +147,6 @@ pub struct BusGrant {
     pub end: Time,
 }
 
-impl BusGrant {
-    /// Queueing delay suffered before the transaction started.
-    pub fn wait_since(&self, requested: Time) -> Dur {
-        self.start.saturating_since(requested)
-    }
-}
-
 /// Per-bus transaction statistics.
 #[derive(Clone, Debug, Default)]
 pub struct BusStats {
@@ -161,8 +154,6 @@ pub struct BusStats {
     counts: [Counter; 6],
     /// Total time the bus was occupied.
     pub busy: Dur,
-    /// Queueing delay distribution (ns).
-    pub queueing: Summary,
     /// Total data bytes moved.
     pub data_bytes: Counter,
 }
@@ -281,9 +272,8 @@ impl Bus {
         self.stats.counts[BusStats::index_of(op)].inc();
         self.stats.busy += occupancy;
         self.stats.data_bytes.add(op.data_bytes(&self.cfg));
-        let wait = start.saturating_since(now);
-        self.stats.queueing.record(wait.as_ns() as f64);
         if let Some(m) = &mut self.metrics {
+            let wait = start.saturating_since(now);
             m.cycles.charge(Component::BusArbitration, wait);
             m.cycles.charge(op.component(), occupancy);
             m.grant_wait.record(wait.as_ns());
@@ -317,7 +307,7 @@ impl Bus {
     }
 
     /// Serialises the dynamic state (free time, per-class counts, busy
-    /// time, queueing summary, data bytes, metrics when enabled) for
+    /// time, data bytes, metrics when enabled) for
     /// checkpointing. The configuration is not included.
     pub fn snapshot(&self) -> Json {
         let counts = Json::Arr(
@@ -331,7 +321,6 @@ impl Bus {
             .set("free_at", self.free_at.as_ns())
             .set("counts", counts)
             .set("busy", self.stats.busy.as_ns())
-            .set("queueing", self.stats.queueing.to_json())
             .set("data_bytes", self.stats.data_bytes.get());
         if let Some(m) = &self.metrics {
             v = v.set("cycles", m.cycles.to_json());
@@ -357,18 +346,16 @@ impl Bus {
             };
             slot.add(n);
         }
-        let (Some(free_at), Some(busy), Some(data_bytes), Some(queueing)) = (
+        let (Some(free_at), Some(busy), Some(data_bytes)) = (
             v.get("free_at").and_then(Json::as_u64),
             v.get("busy").and_then(Json::as_u64),
             v.get("data_bytes").and_then(Json::as_u64),
-            v.get("queueing").and_then(Summary::from_json),
         ) else {
             return false;
         };
         self.free_at = Time::from_ns(free_at);
         self.stats.counts = restored;
         self.stats.busy = Dur::ns(busy);
-        self.stats.queueing = queueing;
         self.stats.data_bytes = Counter::new();
         self.stats.data_bytes.add(data_bytes);
         match (&mut self.metrics, v.get("cycles"), v.get("grant_wait")) {
@@ -425,7 +412,6 @@ mod tests {
         assert_eq!(g2.start, g1.end);
         // The bus went idle before t=100, so g3 starts on request.
         assert_eq!(g3.start, Time::from_ns(100));
-        assert_eq!(g2.wait_since(Time::ZERO), Dur::ns(16));
     }
 
     #[test]
@@ -493,7 +479,6 @@ mod tests {
         assert_eq!(fresh.stats().count(BusOp::BlockRead), 1);
         assert_eq!(fresh.stats().busy, bus.stats().busy);
         assert_eq!(fresh.stats().data_bytes.get(), bus.stats().data_bytes.get());
-        assert_eq!(fresh.stats().queueing, bus.stats().queueing);
         let (m, fm) = (bus.metrics().unwrap(), fresh.metrics().unwrap());
         assert_eq!(fm.cycles.total(), m.cycles.total());
         assert_eq!(fm.grant_wait.count(), m.grant_wait.count());

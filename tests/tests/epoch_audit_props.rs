@@ -193,7 +193,7 @@ fn seam_storms_audit_clean_at_every_worker_count() {
 }
 
 /// The auditor is not a rubber stamp: races injected into a real run's
-/// log — a cross-lane write to the same transfer, an in-window schedule
+/// log — a cross-lane write to the same cell, an in-window schedule
 /// aimed at another node — are reported.
 #[test]
 fn injected_races_fail_a_real_runs_log() {
@@ -204,9 +204,9 @@ fn injected_races_fail_a_real_runs_log() {
         .position(|e| e.lanes.len() >= 2)
         .expect("a multi-lane epoch");
 
-    // A write to a transfer another lane already wrote.
+    // A write to a cell another lane already wrote.
     let mut raced = log.clone();
-    let key = FootprintKey::transfer(0xdead_beef);
+    let key = FootprintKey::egress(0xdead_beef);
     raced.epochs[ep].lanes[0].writes.push(key);
     raced.epochs[ep].lanes[0].seal();
     raced.epochs[ep].lanes[1].writes.push(key);

@@ -12,6 +12,10 @@
 //! traffic workloads instead of app skeletons. The record carries no
 //! event count, so the resumed run's fired-event total is compared too:
 //! a timed-wait wake-up lost or duplicated across the cut shows there.
+//!
+//! `NISIM_TEST_WORKERS=<n>` steps every machine (golden, killed and
+//! resumed) on the epoch-parallel driver with `n` workers; the default
+//! is the serial loop.
 
 use nisim_bench::record::{fingerprint, RunRecord};
 use nisim_core::processor::ProcPhase;
@@ -30,9 +34,14 @@ fn horizon() -> Time {
 }
 
 fn config(ni: NiKind) -> MachineConfig {
+    let workers = std::env::var("NISIM_TEST_WORKERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
     MachineConfig::with_ni(ni)
         .nodes(4)
         .flow_buffers(BufferCount::Finite(4))
+        .workers(workers)
 }
 
 fn record_of(
