@@ -1181,23 +1181,26 @@ mod tests {
         machine.report(sim, status)
     }
 
-    #[test]
-    fn cut_and_resume_matches_uninterrupted_run() {
+    /// Checks that a snapshot at each `cut` (in events) of an echo run
+    /// with `count` pings of `payload` bytes resumes — and the paused
+    /// original continues — to the uninterrupted run's report.
+    fn assert_cuts_resume(count: u32, payload: u64, cuts: &[u64]) {
         let cfg = || {
             MachineConfig::with_ni(NiKind::Cm5)
                 .nodes(2)
                 .flow_buffers(BufferCount::Finite(2))
         };
         // Golden: run to quiescence in one go.
-        let mut golden = Machine::new(cfg(), snap_factory(6, 200));
+        let mut golden = Machine::new(cfg(), snap_factory(count, payload));
         let mut gsim = MachineSim::new();
         golden.start(&mut gsim);
         let golden_report = run_to_end(&mut golden, &mut gsim);
         assert_eq!(golden_report.status, SimStatus::Drained);
         assert!(golden_report.all_quiescent);
+        assert_eq!(golden_report.msg_latency.count(), 2 * u64::from(count));
 
-        for cut in [1u64, 7, 25, 60] {
-            let mut m = Machine::new(cfg(), snap_factory(6, 200));
+        for &cut in cuts {
+            let mut m = Machine::new(cfg(), snap_factory(count, payload));
             let mut sim = MachineSim::new();
             m.start(&mut sim);
             let window = m.cfg.watchdog_window;
@@ -1208,12 +1211,12 @@ mod tests {
             // The snapshot itself round-trips through the serializer.
             let reparsed = nisim_engine::json::parse(&snap.to_compact()).expect("parse");
             let (mut resumed, mut rsim) =
-                restore(cfg(), snap_factory(6, 200), &reparsed).expect("restore");
+                restore(cfg(), snap_factory(count, payload), &reparsed).expect("restore");
             let resumed_report = run_to_end(&mut resumed, &mut rsim);
             assert_eq!(
                 report_key(&resumed_report),
                 report_key(&golden_report),
-                "cut at {cut} events diverged"
+                "{payload} B: cut at {cut} events diverged"
             );
             // And the paused original continues identically too.
             let continued = run_to_end(&mut m, &mut sim);
@@ -1221,30 +1224,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cut_inside_a_multi_fragment_send_keeps_the_latency() {
-        // 600 B pings are three fragments each: cut at every event where
-        // the sender is part-way through one, or the receiver holds a
-        // partial assembly, and the resumed run must reproduce the
-        // latency summary — the send start rides in the snapshot on the
-        // in-flight send, the wire messages and the rx entries.
-        let cfg = || {
-            MachineConfig::with_ni(NiKind::Cm5)
-                .nodes(2)
-                .flow_buffers(BufferCount::Finite(2))
-        };
-        let mut golden = Machine::new(cfg(), snap_factory(4, 600));
-        let mut gsim = MachineSim::new();
-        golden.start(&mut gsim);
-        let golden_report = run_to_end(&mut golden, &mut gsim);
-        assert!(golden_report.all_quiescent);
-        assert_eq!(golden_report.msg_latency.count(), 8);
-
-        let mut m = Machine::new(cfg(), snap_factory(4, 600));
+    /// Every event count of an echo run at which node 0 is part-way
+    /// through a send or node 1 holds a partial assembly.
+    fn mid_transfer_cuts(count: u32, payload: u64) -> Vec<u64> {
+        let cfg = MachineConfig::with_ni(NiKind::Cm5)
+            .nodes(2)
+            .flow_buffers(BufferCount::Finite(2));
+        let window = cfg.watchdog_window;
+        let mut m = Machine::new(cfg, snap_factory(count, payload));
         let mut sim = MachineSim::new();
         m.start(&mut sim);
-        let window = m.cfg.watchdog_window;
-        let (mut mid_send, mut mid_assembly) = (0, 0);
+        let (mut cuts, mut mid_send, mut mid_assembly) = (Vec::new(), false, false);
         while sim.pending() > 0 {
             sim.run_watched(&mut m, Time::from_ns(10_000_000_000), 1, window, |x| {
                 x.g.progress
@@ -1255,21 +1245,25 @@ mod tests {
                 .as_ref()
                 .is_some_and(|s| s.next > 0 && !s.is_complete());
             let assembling = !m.nodes[1].assembling.is_empty();
-            if !sending && !assembling {
-                continue;
+            if sending || assembling {
+                cuts.push(sim.events_fired());
             }
-            mid_send += usize::from(sending);
-            mid_assembly += usize::from(assembling);
-            let snap = save(&m, &mut sim).expect("snapshot");
-            let reparsed = nisim_engine::json::parse(&snap.to_compact()).expect("parse");
-            let (mut resumed, mut rsim) =
-                restore(cfg(), snap_factory(4, 600), &reparsed).expect("restore");
-            let resumed_report = run_to_end(&mut resumed, &mut rsim);
-            assert_eq!(resumed_report.msg_latency, golden_report.msg_latency);
-            assert_eq!(report_key(&resumed_report), report_key(&golden_report));
+            mid_send |= sending;
+            mid_assembly |= assembling;
         }
-        assert!(mid_send > 0, "no cut landed inside a send");
-        assert!(mid_assembly > 0, "no cut landed inside an assembly");
+        assert!(mid_send, "no cut lands inside a send");
+        assert!(mid_assembly, "no cut lands inside an assembly");
+        cuts
+    }
+
+    #[test]
+    fn cut_and_resume_matches_uninterrupted_run() {
+        // 200 B pings are one fragment each. 600 B pings are three, cut
+        // wherever a send or an assembly is part-way through: the send
+        // start rides in the snapshot on the in-flight send, the wire
+        // messages and the rx entries, so the latency summary survives.
+        assert_cuts_resume(6, 200, &[1, 7, 25, 60]);
+        assert_cuts_resume(4, 600, &mid_transfer_cuts(4, 600));
     }
 
     fn crash_cfg(start_ns: u64, end_ns: u64) -> MachineConfig {

@@ -13,9 +13,10 @@
 //! event count, so the resumed run's fired-event total is compared too:
 //! a timed-wait wake-up lost or duplicated across the cut shows there.
 //!
-//! `NISIM_TEST_WORKERS=<n>` steps every machine (golden, killed and
-//! resumed) on the epoch-parallel driver with `n` workers; the default
-//! is the serial loop.
+//! Every cut is first taken and resumed on the serial loop. With
+//! `NISIM_TEST_WORKERS=<n>` (n ≥ 1) set, the same cuts are taken and
+//! resumed a second time on the epoch-parallel driver with `n` workers
+//! and diffed against the same serial golden run.
 
 use nisim_bench::record::{fingerprint, RunRecord};
 use nisim_core::processor::ProcPhase;
@@ -34,14 +35,25 @@ fn horizon() -> Time {
 }
 
 fn config(ni: NiKind) -> MachineConfig {
-    let workers = std::env::var("NISIM_TEST_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
     MachineConfig::with_ni(ni)
         .nodes(4)
         .flow_buffers(BufferCount::Finite(4))
-        .workers(workers)
+}
+
+/// The worker settings the kill-and-resume loop runs at: always the
+/// serial loop (0), plus the epoch driver at `NISIM_TEST_WORKERS` when
+/// that is set to a nonzero count.
+fn worker_settings() -> Vec<u32> {
+    let mut settings = vec![0];
+    if let Ok(v) = std::env::var("NISIM_TEST_WORKERS") {
+        let n: u32 = v
+            .parse()
+            .unwrap_or_else(|_| panic!("NISIM_TEST_WORKERS must be a number, got {v:?}"));
+        if n > 0 {
+            settings.push(n);
+        }
+    }
+    settings
 }
 
 fn record_of(
@@ -67,7 +79,8 @@ fn record_of(
 
 /// The first event count, within `events`, after which some node sits
 /// on a timed wait an arrival has already beaten: its wake-up is still
-/// queued, but the processor is no longer idle.
+/// queued, but the processor is no longer idle. Run on the serial loop;
+/// event counts are the same on every driver, so the cut serves all.
 fn beaten_timer_cut(cfg: &MachineConfig, params: &TrafficParams, events: u64) -> Option<u64> {
     let driver = TrafficDriver::new(cfg, params);
     let mut m = Machine::new(cfg.clone(), driver.factory());
@@ -86,11 +99,12 @@ fn beaten_timer_cut(cfg: &MachineConfig, params: &TrafficParams, events: u64) ->
     None
 }
 
-/// The chaos loop for one traffic point: golden uninterrupted run, then
-/// seeded mid-run kills, each serialized → reparsed → restored → resumed
-/// and diffed byte-for-byte (and by event count) against the golden run.
-/// Where injectors also receive, one more cut is taken while an arrival
-/// has beaten a timed wait.
+/// The chaos loop for one traffic point: a serial golden uninterrupted
+/// run, then seeded mid-run kills at every worker setting, each
+/// serialized → reparsed → restored → resumed and diffed byte-for-byte
+/// (and by event count) against the golden run. Where injectors also
+/// receive, one more cut is taken while an arrival has beaten a timed
+/// wait.
 fn assert_kill_and_resume_reproduces(spec: TrafficSpec, ni: NiKind, salt: u64) {
     let cfg = config(ni);
     let params = spec.params(cfg.nodes);
@@ -127,7 +141,11 @@ fn assert_kill_and_resume_reproduces(spec: TrafficSpec, ni: NiKind, salt: u64) {
         ni.key()
     );
     cuts.extend(beaten);
-    for cut in cuts {
+    for (workers, cut) in worker_settings()
+        .into_iter()
+        .flat_map(|w| cuts.iter().map(move |&c| (w, c)))
+    {
+        let cfg = cfg.clone().workers(workers);
         let driver = TrafficDriver::new(&cfg, &params);
         let mut m = Machine::new(cfg.clone(), driver.factory());
         let mut sim = MachineSim::new();
@@ -152,14 +170,14 @@ fn assert_kill_and_resume_reproduces(spec: TrafficSpec, ni: NiKind, salt: u64) {
         assert_eq!(
             golden_bytes,
             resumed_record.to_json().to_compact(),
-            "{}/{}: resumed run diverged from golden at cut {cut} ({events} events)",
+            "{}/{}: resumed run diverged from golden at cut {cut} ({events} events, workers {workers})",
             spec.key(),
             ni.key()
         );
         assert_eq!(
             rsim.events_fired(),
             events,
-            "{}/{}: resumed run fired a different number of events at cut {cut}",
+            "{}/{}: resumed run fired a different number of events at cut {cut} (workers {workers})",
             spec.key(),
             ni.key()
         );
