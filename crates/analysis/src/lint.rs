@@ -19,9 +19,9 @@
 //!   bit-reproducible. (`bench` measures real elapsed time by design
 //!   and is exempt.)
 //! * `panic-path` — `.unwrap()`/`.expect()`/`panic!` are banned in the
-//!   simulation hot paths (the event loop, the timing wheel, and the
-//!   machine/NI dispatch) outside the committed allowlist; a mid-sweep
-//!   panic loses the whole parallel run.
+//!   simulation hot paths (the event loop, the timing wheel, the
+//!   machine/NI dispatch, the cache and the network fabric) outside the
+//!   committed allowlist; a mid-sweep panic loses the whole parallel run.
 //! * `wildcard-dispatch` — `_ =>` arms are banned in matches that
 //!   dispatch over `MachineEvent`, `BusOp`, `MoesiState`, `SnoopKind`
 //!   or `NiKind`, so adding a variant (e.g. a new NI model) fails to
@@ -371,13 +371,15 @@ const CLOCK_SCOPE: [&str; 6] = [
 const METRICS_MODULE: &str = "crates/engine/src/metrics.rs";
 
 /// Simulation hot paths: a panic here kills a whole parallel sweep.
-const HOT_PATHS: [&str; 6] = [
+const HOT_PATHS: [&str; 8] = [
     "crates/engine/src/sim.rs",
     "crates/engine/src/wheel.rs",
     "crates/core/src/machine.rs",
     "crates/core/src/event.rs",
     "crates/core/src/node.rs",
     "crates/core/src/ni/",
+    "crates/mem/src/cache.rs",
+    "crates/net/src/topology.rs",
 ];
 
 /// Enums whose dispatch matches must stay exhaustive.
@@ -961,6 +963,17 @@ mod tests {
         )
         .is_empty());
         // Outside the hot paths the rule stays quiet.
+        assert!(lint_source("crates/mem/src/bus.rs", src).is_empty());
+    }
+
+    #[test]
+    fn cache_and_fabric_are_hot_paths() {
+        for file in ["crates/mem/src/cache.rs", "crates/net/src/topology.rs"] {
+            let f = lint_source(file, "fn f(x: Option<u64>) -> u64 { x.expect(\"slot\") }");
+            assert!(f.iter().any(|f| f.rule == "panic-path"), "{file}");
+        }
+        // Their test modules stay exempt, as everywhere.
+        let src = "#[cfg(test)] mod tests { fn f(x: Option<u64>) -> u64 { x.unwrap() } }";
         assert!(lint_source("crates/mem/src/cache.rs", src).is_empty());
     }
 

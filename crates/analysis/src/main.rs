@@ -260,6 +260,17 @@ fn run_selftest() -> bool {
         println!("selftest: FAIL — seeded arc-mutex violation went undetected");
         ok = false;
     }
+    // A victim-selection `.expect` smuggled back into the cache's insert.
+    let seeded = lint::lint_source(
+        "crates/mem/src/cache.rs",
+        "fn insert(&mut self) -> usize { self.set().min_by_key(|s| s.lru).expect(\"set\") }",
+    );
+    if seeded.iter().any(|f| f.rule == "panic-path") {
+        println!("selftest: seeded cache-insert .expect caught by panic-path lint");
+    } else {
+        println!("selftest: FAIL — seeded cache-insert .expect went undetected");
+        ok = false;
+    }
     // The epoch checker must pass the real merge algorithm and catch
     // both seeded engine mutants: a lookahead one tick too short, and a
     // cross-lane footprint overlap.

@@ -58,7 +58,11 @@ use crate::processor::{ProcPhase, SendInProgress};
 /// Version 5: a transfer's send start travels on its in-flight send,
 /// wire messages and rx entries (`started`); the machine-global
 /// `transfer_started` table and the bus `queueing` summary are gone.
-pub const SNAPSHOT_VERSION: u64 = 5;
+///
+/// Version 6: caches list only their resident lines, each as its slot
+/// and one `u64` line word (block address OR'd with a state code), plus
+/// the slot count; LRU stamps ride along only when set-associative.
+pub const SNAPSHOT_VERSION: u64 = 6;
 
 /// Why a snapshot could not be saved or restored.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -230,3 +230,32 @@ fn metrics_toggle_does_not_invalidate_a_snapshot() {
         "metrics must not change the fingerprint"
     );
 }
+
+/// Size fence for the sparse cache serialisation: a 16-node em3d
+/// machine 20,000 events in touches a few cache pages per node, and its
+/// snapshot must stay small. Serialising every one of the 16,384 slots
+/// of each node's 1 MB cache made it over 2 MB; resident lines only keep
+/// it far under 512 KB. The snapshot must also restore and re-save to
+/// the same bytes.
+#[test]
+fn sparse_cache_keeps_a_mid_run_snapshot_small() {
+    for ni in [NiKind::Cm5, NiKind::Cni32Qm] {
+        let cfg = MachineConfig::with_ni(ni).nodes(16);
+        let params = MacroApp::Em3d.default_params();
+        let mk = || factory(MacroApp::Em3d, cfg.nodes, cfg.seed, params);
+        let mut m = Machine::new(cfg.clone(), mk());
+        let mut sim = MachineSim::new();
+        m.start(&mut sim);
+        m.run_slice(&mut sim, Time::from_ns(60_000_000_000), 20_000);
+        assert_eq!(sim.events_fired(), 20_000, "{ni:?}: run ended early");
+        let text = save(&m, &mut sim).expect("snapshot").to_compact();
+        assert!(
+            text.len() <= 512 * 1024,
+            "{ni:?}: mid-run snapshot is {} bytes",
+            text.len()
+        );
+        let (resumed, mut rsim) =
+            restore(cfg.clone(), mk(), &json::parse(&text).unwrap()).expect("restore");
+        assert_eq!(save(&resumed, &mut rsim).unwrap().to_compact(), text);
+    }
+}
